@@ -588,3 +588,57 @@ def test_measured_analysis_budget(results_dir):
         f"dfa {dfa_us_per_point:.3f}us/point "
         f"({dfa1.windows}+{dfa2.windows} windows)"
     )
+
+
+def _best_of_s(fn, rounds: int) -> float:
+    timings = []
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        fn()
+        timings.append(time.perf_counter() - t0)
+    return min(timings)
+
+
+def test_topology_setup_budget(results_dir, tmp_path):
+    """Budget rows for topology set-up: generate and load a BASELINE n=1000.
+
+    Same contract as ``test_sim_core_budget``: the counters (node and
+    link counts, sha256 of the ``save_json`` bytes — the generator's
+    byte-identity witness) must never drift; the timing rows (µs per
+    generated node, µs per loaded link, best of a few rounds) stay within
+    the CI tolerance band.  Per-link provider-graph walks while loading
+    cost ~5x the whole-graph check at this size, so they trip the gate.
+    Merged into ``BENCH_sim_core.json`` for ``scripts/check_perf_budget.py``.
+    """
+    import hashlib
+
+    from repro.topology.serialization import load_json, save_json
+
+    n = 1000
+    graph = generate_topology(baseline_params(n), seed=1)
+    path = tmp_path / "topology.json"
+    save_json(graph, path)
+    edges = list(graph.edges())
+    transit_links = sum(1 for _, _, rel in edges if rel is Relationship.PROVIDER)
+    rounds = 5
+    generate_s = _best_of_s(
+        lambda: generate_topology(baseline_params(n), seed=1), rounds
+    )
+    load_s = _best_of_s(lambda: load_json(path), rounds)
+    topology_setup = {
+        "nodes": len(graph),
+        "transit_links": transit_links,
+        "peer_links": len(edges) - transit_links,
+        "json_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+        "generate_us_per_node": generate_s / n * 1e6,
+        "load_us_per_link": load_s / len(edges) * 1e6,
+    }
+    assert list(load_json(path).edges()) == edges
+
+    _merge_bench_json(results_dir, {"topology_setup": topology_setup})
+    print(
+        f"\ntopology set-up budget: generate "
+        f"{topology_setup['generate_us_per_node']:.1f}us/node, load "
+        f"{topology_setup['load_us_per_link']:.2f}us/link "
+        f"({len(graph)} nodes, {len(edges)} links)"
+    )

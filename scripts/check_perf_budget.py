@@ -55,6 +55,10 @@ EXACT_COUNTERS = [
     ("longmem_analysis", "dfa1_windows"),
     ("longmem_analysis", "dfa2_windows"),
     ("longmem_analysis", "dfa1_scales"),
+    ("topology_setup", "nodes"),
+    ("topology_setup", "transit_links"),
+    ("topology_setup", "peer_links"),
+    ("topology_setup", "json_sha256"),
 ]
 
 #: (section, key) pairs where *larger* is worse (cost in µs or bytes).
@@ -69,6 +73,8 @@ COST_METRICS = [
     ("prefix_per_op", "redecide_1_of_10k_us"),
     ("measured_import", "import_us_per_edge"),
     ("longmem_analysis", "dfa_per_point_us"),
+    ("topology_setup", "generate_us_per_node"),
+    ("topology_setup", "load_us_per_link"),
 ]
 
 #: (section, key) pairs where *smaller* is worse (throughput).

@@ -20,7 +20,10 @@ before it builds:
   mode (``strict=False``);
 * edges that would violate the :class:`~repro.topology.graph.ASGraph`
   invariants the whole simulator relies on — provider loops, peering
-  into one's own customer tree — are likewise rejected or dropped;
+  into one's own customer tree — are likewise rejected or dropped,
+  checked line by line and then once over the whole graph (a later
+  transit line can pull an earlier peering line inside a customer
+  tree);
 * disconnected components are always detected and reported (the
   simulator happily runs a disconnected graph; the report makes sure
   nobody does so unknowingly).
@@ -43,7 +46,7 @@ from typing import Dict, List, Set, Tuple, Union
 from repro.errors import MeasuredImportError, TopologyError
 from repro.obs.telemetry import current_telemetry
 from repro.topology.graph import ASGraph
-from repro.topology.types import NodeType
+from repro.topology.types import NodeType, Relationship
 
 #: relationship code -> kind, per the serial-1 specification
 _TRANSIT_CODE = -1
@@ -241,15 +244,17 @@ def _parse(
     as_numbers = tuple(sorted({asn for _, a, b, _ in kept for asn in (a, b)}))
     dense = {asn: index for index, asn in enumerate(as_numbers)}
 
-    # First pass: apply the graph's own invariant checks (provider loops,
-    # peering into one's own customer tree) with placeholder node types,
-    # recording which edges survive.  Types depend on the *kept* edge
-    # set, so they can only be inferred after this pass.
+    # First pass: apply the graph's own per-link invariant checks
+    # (provider loops, peering into one's own customer tree) with
+    # placeholder node types, recording which edges survive.  Types
+    # depend on the *kept* edge set, so they can only be inferred after
+    # this pass.
     trial = ASGraph(scenario="measured-import-trial")
     for asn in as_numbers:
         trial.add_node(dense[asn], NodeType.C, [0])
-    survivors: List[Tuple[int, int, int]] = []
-    invariant_drops: List[str] = []
+    survivors: List[Tuple[int, int, int, int]] = []
+    #: (line number, reason), merged into file order at the end
+    invariant_drops: List[Tuple[int, str]] = []
     for line_number, a, b, code in kept:
         u, v = dense[a], dense[b]
         try:
@@ -263,9 +268,31 @@ def _parse(
             )
             if strict:
                 raise MeasuredImportError(reason) from exc
-            invariant_drops.append(reason)
+            invariant_drops.append((line_number, reason))
             continue
-        survivors.append((a, b, code))
+        survivors.append((line_number, a, b, code))
+
+    # A per-link check sees only the graph built so far, so a later
+    # transit line can still pull an accepted peering link inside a
+    # customer tree.  One whole-graph pass finds those; dropping peering
+    # links never changes the transit hierarchy, so one pass is enough.
+    _, tree_peerings = trial.hierarchy_violations()
+    in_tree = {frozenset(pair): pair for pair in tree_peerings}
+    kept_survivors = []
+    for line_number, a, b, code in survivors:
+        pair = in_tree.get(frozenset((dense[a], dense[b])))
+        if pair is None:
+            kept_survivors.append((line_number, a, b, code))
+            continue
+        ancestor, descendant = (as_numbers[node] for node in pair)
+        reason = (
+            f"{source}:{line_number}: edge {a}|{b}|{code} rejected: "
+            f"AS {descendant} is in the customer tree of AS {ancestor}"
+        )
+        if strict:
+            raise MeasuredImportError(reason)
+        invariant_drops.append((line_number, reason))
+    survivors = kept_survivors
 
     # Structural type inference over the kept edges (same rules as
     # repro.topology.serialization.load_as_rel): no providers -> T,
@@ -273,7 +300,7 @@ def _parse(
     has_provider: Set[int] = set()
     has_customer: Set[int] = set()
     has_peer: Set[int] = set()
-    for a, b, code in survivors:
+    for _, a, b, code in survivors:
         if code == _TRANSIT_CODE:
             has_customer.add(a)
             has_provider.add(b)
@@ -293,15 +320,14 @@ def _parse(
     graph = ASGraph(scenario=f"measured:{Path(source).name}")
     for asn in as_numbers:
         graph.add_node(dense[asn], node_type(asn), [0])
-    transit_edges = 0
-    peer_edges = 0
-    for a, b, code in survivors:
-        if code == _TRANSIT_CODE:
-            graph.add_transit_link(customer=dense[b], provider=dense[a])
-            transit_edges += 1
-        else:
-            graph.add_peering_link(dense[a], dense[b])
-            peer_edges += 1
+    graph.add_links(
+        (dense[b], dense[a], Relationship.PROVIDER)
+        if code == _TRANSIT_CODE
+        else (dense[a], dense[b], Relationship.PEER)
+        for _, a, b, code in survivors
+    )
+    transit_edges = sum(1 for *_, code in survivors if code == _TRANSIT_CODE)
+    peer_edges = len(survivors) - transit_edges
 
     report = ImportReport(
         source=source,
@@ -313,7 +339,7 @@ def _parse(
         duplicate_edges=duplicates,
         conflicting_edges=conflicts,
         self_loops=self_loops,
-        invariant_drops=tuple(invariant_drops),
+        invariant_drops=tuple(reason for _, reason in sorted(invariant_drops)),
         components=component_sizes(graph),
         as_numbers=as_numbers,
     )

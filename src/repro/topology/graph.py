@@ -5,10 +5,10 @@ metrics code and the simulator.  It is a plain adjacency structure in which
 every edge carries a business :class:`~repro.topology.types.Relationship`
 label, stored from the perspective of each endpoint (so a transit link is
 recorded as ``CUSTOMER`` on the provider side and ``PROVIDER`` on the
-customer side).
+customer side).  A per-node provider index mirrors the ``PROVIDER`` labels,
+so walks up the hierarchy touch only provider links.
 
-The structure enforces, at insertion time, the invariants the paper's
-generator relies on:
+The structure enforces the invariants the paper's generator relies on:
 
 * a node never has two parallel links to the same neighbour,
 * a node is never its own neighbour,
@@ -16,6 +16,23 @@ generator relies on:
 * peering links are never added between a node and a member of its own
   customer tree (Sec. 3: such peering "would prey on the revenue the node
   gets from its customer traffic").
+
+They are checked on two paths:
+
+* **per link** — :meth:`ASGraph.add_transit_link` and
+  :meth:`ASGraph.add_peering_link` check each new link against the graph
+  built so far, walking up the provider index.  Callers that decide link
+  by link use them: the generator, topology evolution and the serial-1
+  importer's trial pass.
+* **once per document** — :meth:`ASGraph.add_links` inserts a whole batch
+  with only the per-edge checks (self-loop, unknown id, parallel link),
+  then runs :meth:`ASGraph.check_hierarchy` once: Kahn's algorithm over
+  the provider links plus ancestor bitsets, O(V + E) bitset operations.
+  The outcome does not depend on the order of the links.  The loaders
+  use this path (:mod:`repro.topology.serialization`, the serial-1
+  importer's whole-graph pass and final graph), and
+  :mod:`repro.topology.validation` reports the same pass through
+  :meth:`ASGraph.hierarchy_violations`.
 """
 
 from __future__ import annotations
@@ -52,6 +69,8 @@ class ASGraph:
         self._nodes: Dict[int, ASNode] = {}
         #: adjacency[u][v] is the relationship of v as seen from u.
         self._adjacency: Dict[int, Dict[int, Relationship]] = {}
+        #: providers[u] is the set of u's providers (the PROVIDER labels).
+        self._providers: Dict[int, Set[int]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -66,6 +85,7 @@ class ASGraph:
         node = ASNode(node_id=node_id, node_type=node_type, regions=region_set)
         self._nodes[node_id] = node
         self._adjacency[node_id] = {}
+        self._providers[node_id] = set()
         return node
 
     def add_transit_link(self, customer: int, provider: int) -> None:
@@ -79,8 +99,7 @@ class ASGraph:
             raise TopologyError(
                 f"transit link {customer}->{provider} would create a provider loop"
             )
-        self._adjacency[customer][provider] = Relationship.PROVIDER
-        self._adjacency[provider][customer] = Relationship.CUSTOMER
+        self._link_transit(customer, provider)
 
     def add_peering_link(self, a: int, b: int) -> None:
         """Add a settlement-free peering link between ``a`` and ``b``.
@@ -92,10 +111,46 @@ class ASGraph:
         if self.is_in_customer_tree(ancestor=a, descendant=b) or self.is_in_customer_tree(
             ancestor=b, descendant=a
         ):
-            raise TopologyError(
-                f"peering link {a}--{b} rejected: one endpoint is in the "
-                "other's customer tree"
-            )
+            raise TopologyError(_tree_peering_message(a, b))
+        self._link_peering(a, b)
+
+    def add_links(self, links: Iterable[Tuple[int, int, Relationship]]) -> None:
+        """Insert a batch of links, checking the hierarchy once at the end.
+
+        ``links`` follows the :meth:`edges` convention: ``(customer,
+        provider, PROVIDER)`` for a transit link, ``(a, b, PEER)`` for a
+        peering link; they are inserted in iteration order.  Each link
+        gets only the per-edge checks; :meth:`check_hierarchy` then runs
+        once over the whole graph, so acceptance does not depend on the
+        order of the links.  On any error every link of the batch is
+        removed again before the error propagates.
+        """
+        added: List[Tuple[int, int]] = []
+        try:
+            for a, b, relationship in links:
+                self._check_new_edge(a, b)
+                if relationship is Relationship.PROVIDER:
+                    self._link_transit(a, b)
+                elif relationship is Relationship.PEER:
+                    self._link_peering(a, b)
+                else:
+                    raise TopologyError(
+                        f"link {a}--{b}: expected a PROVIDER or PEER label, "
+                        f"got {relationship}"
+                    )
+                added.append((a, b))
+            self.check_hierarchy()
+        except Exception:
+            for a, b in reversed(added):
+                self.remove_link(a, b)
+            raise
+
+    def _link_transit(self, customer: int, provider: int) -> None:
+        self._adjacency[customer][provider] = Relationship.PROVIDER
+        self._adjacency[provider][customer] = Relationship.CUSTOMER
+        self._providers[customer].add(provider)
+
+    def _link_peering(self, a: int, b: int) -> None:
         self._adjacency[a][b] = Relationship.PEER
         self._adjacency[b][a] = Relationship.PEER
 
@@ -109,6 +164,10 @@ class ASGraph:
             self._adjacency[b].pop(a)
         except KeyError as exc:
             raise TopologyError(f"no link between {a} and {b}") from exc
+        if relationship is Relationship.PROVIDER:
+            self._providers[a].discard(b)
+        elif relationship is Relationship.CUSTOMER:
+            self._providers[b].discard(a)
         return relationship
 
     def _check_new_edge(self, a: int, b: int) -> None:
@@ -215,8 +274,11 @@ class ASGraph:
         return self.neighbors_by_relationship(node_id, Relationship.CUSTOMER)
 
     def providers_of(self, node_id: int) -> List[int]:
-        """Direct providers of ``node_id``."""
-        return self.neighbors_by_relationship(node_id, Relationship.PROVIDER)
+        """Direct providers of ``node_id``, ascending."""
+        try:
+            return sorted(self._providers[node_id])
+        except KeyError as exc:
+            raise TopologyError(f"unknown node id {node_id}") from exc
 
     def peers_of(self, node_id: int) -> List[int]:
         """Peers of ``node_id``."""
@@ -290,23 +352,96 @@ class ASGraph:
     def is_in_customer_tree(self, *, ancestor: int, descendant: int) -> bool:
         """Whether ``descendant`` lies in ``ancestor``'s customer tree.
 
-        Walks *upward* from ``descendant`` through provider links, which is
-        cheap because multihoming degrees are small.
+        Walks *upward* from ``descendant`` through the provider index,
+        which is cheap because multihoming degrees are small.
         """
         if ancestor == descendant:
             return False
+        providers = self._providers
         seen: Set[int] = set()
         stack = [descendant]
         while stack:
-            current = stack.pop()
-            for v, rel in self._adjacency[current].items():
-                if rel is not Relationship.PROVIDER or v in seen:
+            for v in providers[stack.pop()]:
+                if v in seen:
                     continue
                 if v == ancestor:
                     return True
                 seen.add(v)
                 stack.append(v)
         return False
+
+    def hierarchy_violations(self) -> Tuple[List[int], List[Tuple[int, int]]]:
+        """Both hierarchy invariants, checked over the whole graph at once.
+
+        Returns ``(loop_nodes, tree_peerings)``, both empty for a valid
+        hierarchy:
+
+        * ``loop_nodes`` — ascending ids Kahn's algorithm cannot order
+          over the provider links: the nodes on a provider loop or below
+          one;
+        * ``tree_peerings`` — ``(ancestor, descendant)`` for every peering
+          link with one endpoint in the other's customer tree, ascending.
+          Peering links touching ``loop_nodes`` are not judged: their
+          ancestor sets are undefined.
+
+        Each ordered node's ancestor set is a Python-int bitset built in
+        topological order, one OR per provider link, so the whole pass is
+        O(V + E) bitset operations.  Bits are numbered in the (FIFO) Kahn
+        order, which puts the top of the hierarchy — the only ancestors
+        most nodes have — in the low bits and keeps the bitsets short.
+        They are dropped on return.
+        """
+        providers = self._providers
+        pending = {node: len(ups) for node, ups in providers.items()}
+        order = [node for node, count in pending.items() if count == 0]
+        rank: Dict[int, int] = {}
+        ancestors: Dict[int, int] = {}
+        for node in order:  # ``order`` grows while it is walked (FIFO)
+            bits = 0
+            for provider in providers[node]:
+                bits |= ancestors[provider] | (1 << rank[provider])
+            rank[node] = len(rank)
+            ancestors[node] = bits
+            for v, rel in self._adjacency[node].items():
+                if rel is Relationship.CUSTOMER:
+                    pending[v] -= 1
+                    if pending[v] == 0:
+                        order.append(v)
+        loop_nodes = sorted(node for node in self._nodes if node not in rank)
+        tree_peerings = [
+            (a, b)
+            for a in order
+            for b, rel in self._adjacency[a].items()
+            if rel is Relationship.PEER
+            and b in ancestors
+            and (ancestors[b] >> rank[a]) & 1
+        ]
+        tree_peerings.sort()
+        return loop_nodes, tree_peerings
+
+    def check_hierarchy(self) -> None:
+        """Raise :class:`TopologyError` unless both hierarchy invariants hold.
+
+        The error names one offending link, picked deterministically: on
+        a provider loop, the link that closes the loop reached by walking
+        smallest providers up from the smallest unordered node; otherwise
+        the first customer-tree peering of :meth:`hierarchy_violations`.
+        """
+        loop_nodes, tree_peerings = self.hierarchy_violations()
+        if loop_nodes:
+            on_loop = set(loop_nodes)
+            visited: Set[int] = set()
+            current = loop_nodes[0]
+            while current not in visited:
+                visited.add(current)
+                customer = current
+                # Kahn left ``current`` unordered, so a provider of it is too.
+                current = min(p for p in self._providers[current] if p in on_loop)
+            raise TopologyError(
+                f"transit link {customer}->{current} closes a provider loop"
+            )
+        if tree_peerings:
+            raise TopologyError(_tree_peering_message(*tree_peerings[0]))
 
     def all_customer_tree_sizes(self) -> Dict[int, int]:
         """Customer-tree size for every node, computed in one bottom-up pass.
@@ -370,3 +505,10 @@ class ASGraph:
             f"ASGraph(scenario={self.scenario!r}, n={len(self)}, "
             f"links={self.edge_count()}, {mix})"
         )
+
+
+def _tree_peering_message(a: int, b: int) -> str:
+    return (
+        f"peering link {a}--{b} rejected: one endpoint is in the "
+        "other's customer tree"
+    )

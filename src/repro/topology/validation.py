@@ -8,7 +8,7 @@ and lets tests assert them property-style on random instances.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from repro.errors import TopologyError
 from repro.topology.graph import ASGraph
@@ -20,8 +20,9 @@ def find_violations(graph: ASGraph) -> List[str]:
     violations: List[str] = []
     violations.extend(_check_node_roles(graph))
     violations.extend(_check_t_clique(graph))
-    violations.extend(_check_hierarchy_acyclic(graph))
-    violations.extend(_check_peering_constraints(graph))
+    loop_nodes, tree_peerings = graph.hierarchy_violations()
+    violations.extend(_check_hierarchy_acyclic(loop_nodes))
+    violations.extend(_check_peering_constraints(tree_peerings))
     violations.extend(_check_regions(graph))
     return violations
 
@@ -95,40 +96,24 @@ def _check_t_clique(graph: ASGraph) -> List[str]:
     return violations
 
 
-def _check_hierarchy_acyclic(graph: ASGraph) -> List[str]:
+def _check_hierarchy_acyclic(loop_nodes: List[int]) -> List[str]:
     """The provider→customer digraph must contain no cycles.
 
-    Kahn's algorithm on customer edges: any residue is part of a cycle.
+    ``loop_nodes`` is the residue of Kahn's algorithm from
+    :meth:`ASGraph.hierarchy_violations`: any residue is on or below a
+    cycle.
     """
-    in_degree = {node_id: len(graph.providers_of(node_id)) for node_id in graph.node_ids}
-    queue = [node_id for node_id, deg in in_degree.items() if deg == 0]
-    seen = 0
-    while queue:
-        current = queue.pop()
-        seen += 1
-        for customer in graph.customers_of(current):
-            in_degree[customer] -= 1
-            if in_degree[customer] == 0:
-                queue.append(customer)
-    if seen != len(graph):
-        residue = [node_id for node_id, deg in in_degree.items() if deg > 0]
-        return [f"provider loop involving nodes {sorted(residue)[:10]}"]
+    if loop_nodes:
+        return [f"provider loop involving nodes {loop_nodes[:10]}"]
     return []
 
 
-def _check_peering_constraints(graph: ASGraph) -> List[str]:
+def _check_peering_constraints(tree_peerings: List[Tuple[int, int]]) -> List[str]:
     """No node may peer with a member of its own customer tree."""
-    violations: List[str] = []
-    for node_id in graph.node_ids:
-        tree = None
-        for peer in graph.peers_of(node_id):
-            if tree is None:
-                tree = graph.customer_tree(node_id)
-            if peer in tree:
-                violations.append(
-                    f"node {node_id} peers with {peer} inside its customer tree"
-                )
-    return violations
+    return [
+        f"node {ancestor} peers with {descendant} inside its customer tree"
+        for ancestor, descendant in tree_peerings
+    ]
 
 
 def _check_regions(graph: ASGraph) -> List[str]:

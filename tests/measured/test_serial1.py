@@ -8,6 +8,7 @@ from repro.errors import MeasuredImportError
 from repro.measured import load_serial1, parse_serial1_text
 from repro.measured.serial1 import component_sizes
 from repro.topology.serialization import save_as_rel
+from repro.topology.validation import find_violations
 from repro.topology.types import Relationship
 
 DATA = Path(__file__).parent.parent / "topology" / "data"
@@ -122,6 +123,19 @@ class TestValidation:
             (min(u, v), max(u, v)): rel for u, v, rel in graph.edges()
         }
         assert rels[(0, 1)] is not Relationship.PEER
+
+    def test_peering_pulled_into_customer_tree_by_later_lines(self):
+        # The peering line passes its per-line check; the two transit
+        # lines after it put AS 1 under AS 0 (0 -> 2 -> 1).
+        text = "0|1|0\n2|1|-1\n0|2|-1\n"
+        with pytest.raises(MeasuredImportError, match=r"<text>:1: edge 0\|1\|0"):
+            parse_serial1_text(text)
+        graph, report = parse_serial1_text(text, strict=False)
+        assert report.invariant_drops == (
+            "<text>:1: edge 0|1|0 rejected: AS 1 is in the customer tree of AS 0",
+        )
+        assert (report.transit_edges, report.peer_edges) == (2, 0)
+        assert find_violations(graph) == []
 
     def test_disconnected_components_reported(self):
         graph, report = parse_serial1_text("1|2|-1\n3|4|-1\n5|6|0\n")

@@ -105,11 +105,26 @@ class TestLinks:
     def test_remove_link(self):
         graph = make_pair()
         graph.add_transit_link(1, 0)
+        assert graph.is_in_customer_tree(ancestor=0, descendant=1)
         rel = graph.remove_link(1, 0)
         assert rel is Relationship.PROVIDER
         assert graph.degree(0) == 0
+        assert graph.providers_of(1) == []
+        assert not graph.is_in_customer_tree(ancestor=0, descendant=1)
         with pytest.raises(TopologyError):
             graph.remove_link(1, 0)
+        # The provider index forgot the link, so the reverse is no loop.
+        graph.add_transit_link(0, 1)
+        assert graph.providers_of(0) == [1]
+        assert graph.is_in_customer_tree(ancestor=1, descendant=0)
+        assert not graph.is_in_customer_tree(ancestor=0, descendant=1)
+
+    def test_remove_link_from_provider_side(self):
+        graph = make_pair()
+        graph.add_transit_link(1, 0)
+        assert graph.remove_link(0, 1) is Relationship.CUSTOMER
+        assert graph.providers_of(1) == []
+        graph.add_transit_link(0, 1)
 
     def test_edges_yields_each_link_once(self):
         graph = ASGraph()
@@ -179,3 +194,68 @@ class TestSummaries:
 
     def test_repr_mentions_scenario(self, diamond):
         assert "diamond" in repr(diamond)
+
+
+def make_triangle():
+    graph = ASGraph()
+    for node_id in range(3):
+        graph.add_node(node_id, NodeType.M, [0])
+    return graph
+
+
+PROVIDER, PEER = Relationship.PROVIDER, Relationship.PEER
+
+
+class TestAddLinks:
+    def test_batch_matches_per_link_insertion(self, diamond):
+        rebuilt = ASGraph()
+        for node in diamond.nodes():
+            rebuilt.add_node(node.node_id, node.node_type, node.regions)
+        rebuilt.add_links(diamond.edges())
+        assert list(rebuilt.edges()) == list(diamond.edges())
+        for node_id in diamond.node_ids:
+            assert rebuilt.providers_of(node_id) == diamond.providers_of(node_id)
+
+    def test_tree_peering_rejected_whatever_the_order(self):
+        # Per link, the peering is accepted before the transit links
+        # that put 1 under 0 exist; the batch sees the whole graph.
+        graph = make_triangle()
+        with pytest.raises(TopologyError, match="peering link 0--1"):
+            graph.add_links([(0, 1, PEER), (1, 2, PROVIDER), (2, 0, PROVIDER)])
+
+    def test_provider_loop_names_closing_link(self):
+        graph = make_triangle()
+        with pytest.raises(TopologyError, match=r"transit link 2->0 closes"):
+            graph.add_links([(0, 1, PROVIDER), (1, 2, PROVIDER), (2, 0, PROVIDER)])
+
+    def test_failed_batch_is_rolled_back(self):
+        graph = make_triangle()
+        graph.add_transit_link(1, 2)
+        with pytest.raises(TopologyError):
+            graph.add_links([(2, 0, PROVIDER), (0, 1, PROVIDER)])
+        assert graph.edge_count() == 1
+        assert graph.providers_of(2) == [] and graph.providers_of(0) == []
+        with pytest.raises(TopologyError, match="parallel"):
+            graph.add_links([(2, 0, PROVIDER), (1, 2, PEER)])
+        assert graph.edge_count() == 1
+        graph.add_links([(2, 0, PROVIDER)])
+        assert graph.is_in_customer_tree(ancestor=0, descendant=1)
+
+    def test_customer_label_rejected(self):
+        graph = make_triangle()
+        with pytest.raises(TopologyError, match="PROVIDER or PEER"):
+            graph.add_links([(0, 1, Relationship.CUSTOMER)])
+        assert graph.edge_count() == 0
+
+
+class TestHierarchyViolations:
+    def test_valid_graph_has_none(self, diamond):
+        assert diamond.hierarchy_violations() == ([], [])
+        diamond.check_hierarchy()  # no raise
+
+    def test_tree_peering_named_ancestor_first(self, chain):
+        # chain: 0 <- 1 <- 2 <- 3; built per link, peering 1--3 is
+        # rejected, so only the batch path can hold it until the check.
+        chain.add_node(4, NodeType.M, [0])
+        with pytest.raises(TopologyError, match="peering link 1--3"):
+            chain.add_links([(3, 1, PEER), (4, 0, PEER), (4, 2, PEER)])

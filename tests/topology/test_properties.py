@@ -5,11 +5,15 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
+from repro.errors import SerializationError, TopologyError
 from repro.topology.attachment import draw_link_count, preferential_choice
 from repro.topology.generator import generate_topology
 from repro.topology.graph import ASGraph
 from repro.topology.params import baseline_params
 from repro.topology.scenarios import scenario_names, scenario_params
+from repro.topology.serialization import from_json_dict, to_json_dict
 from repro.topology.types import NodeType, Relationship
 from repro.topology.validation import find_violations
 
@@ -116,3 +120,92 @@ class TestGraphProperties:
         sizes = graph.all_customer_tree_sizes()
         for node in graph.node_ids:
             assert sizes[node] == len(graph.customer_tree(node))
+
+    @given(params=small_params(), seed=st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=10, deadline=None)
+    def test_upward_walk_matches_customer_tree(self, params, seed):
+        """The provider-index walk agrees with the downward cone."""
+        graph = generate_topology(params, seed=seed)
+        for ancestor in graph.node_ids:
+            tree = graph.customer_tree(ancestor)
+            for descendant in graph.node_ids:
+                assert graph.is_in_customer_tree(
+                    ancestor=ancestor, descendant=descendant
+                ) == (descendant in tree)
+
+
+def _hierarchy_is_valid(links, node_ids) -> bool:
+    """Reference verdict from per-link transit checks and downward cones."""
+    graph = ASGraph()
+    for node_id in node_ids:
+        graph.add_node(node_id, NodeType.M, [0])
+    try:
+        for link in links:
+            if link["kind"] == "transit":
+                graph.add_transit_link(link["a"], link["b"])
+    except TopologyError:
+        return False  # some transit link closes a provider loop
+    for link in links:
+        if link["kind"] == "peer":
+            a, b = link["a"], link["b"]
+            if b in graph.customer_tree(a) or a in graph.customer_tree(b):
+                return False
+    return True
+
+
+def _loads_per_link(links, node_ids) -> bool:
+    """Whether per-link insertion in document order accepts ``links``."""
+    graph = ASGraph()
+    for node_id in node_ids:
+        graph.add_node(node_id, NodeType.M, [0])
+    try:
+        for link in links:
+            if link["kind"] == "transit":
+                graph.add_transit_link(link["a"], link["b"])
+            else:
+                graph.add_peering_link(link["a"], link["b"])
+    except TopologyError:
+        return False
+    return True
+
+
+class TestLoadOrderIndependence:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        extra=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=59),
+                st.integers(min_value=0, max_value=59),
+                st.sampled_from(["transit", "peer"]),
+            ),
+            max_size=3,
+        ),
+        shuffles=st.lists(st.randoms(use_true_random=False), min_size=2, max_size=2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_acceptance_depends_only_on_the_link_set(self, seed, extra, shuffles):
+        """Over permutations of ``links``, ``from_json_dict`` accepts exactly
+        the documents whose hierarchy is valid, and rejects every document
+        the per-link path rejects."""
+        data = to_json_dict(generate_topology(baseline_params(60), seed=seed))
+        del data["adjacency"]
+        taken = {frozenset((link["a"], link["b"])) for link in data["links"]}
+        for a, b, kind in extra:
+            if a != b and frozenset((a, b)) not in taken:
+                taken.add(frozenset((a, b)))
+                data["links"].append({"a": a, "b": b, "kind": kind})
+        node_ids = [node["id"] for node in data["nodes"]]
+        valid = _hierarchy_is_valid(data["links"], node_ids)
+        for rng in shuffles:
+            rng.shuffle(data["links"])
+            try:
+                graph = from_json_dict(data)
+            except SerializationError:
+                assert not valid
+                continue
+            assert valid
+            assert _loads_per_link(data["links"], node_ids)
+            assert not any(
+                "provider loop" in v or "customer tree" in v
+                for v in find_violations(graph)
+            )

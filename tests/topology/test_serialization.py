@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SerializationError
+from repro.errors import SerializationError, TopologyError
 from repro.topology.generator import generate_topology
 from repro.topology.params import baseline_params
 from repro.topology.serialization import (
@@ -60,6 +60,50 @@ class TestJsonRoundTrip:
         data["links"][0]["kind"] = "sibling"
         with pytest.raises(SerializationError):
             from_json_dict(data)
+
+
+def _triangle_document(links):
+    """Nodes 0-2 (T, C, M) in one region, with the given ``(a, b, kind)``."""
+    return {
+        "format_version": 1,
+        "scenario": "triangle",
+        "nodes": [
+            {"id": 0, "type": "T", "regions": [0]},
+            {"id": 1, "type": "C", "regions": [0]},
+            {"id": 2, "type": "M", "regions": [0]},
+        ],
+        "links": [{"a": a, "b": b, "kind": kind} for a, b, kind in links],
+    }
+
+
+class TestHierarchyCheck:
+    def test_peering_inside_customer_tree_rejected_in_any_order(self):
+        # 1 -> 2 -> 0 puts 1 in 0's customer tree; the peering comes
+        # first, before either transit link exists.
+        data = _triangle_document(
+            [(0, 1, "peer"), (1, 2, "transit"), (2, 0, "transit")]
+        )
+        with pytest.raises(SerializationError, match="peering link 0--1"):
+            from_json_dict(data)
+
+    def test_provider_loop_rejected(self):
+        data = _triangle_document(
+            [(0, 1, "transit"), (1, 2, "transit"), (2, 0, "transit")]
+        )
+        with pytest.raises(SerializationError, match="provider loop"):
+            from_json_dict(data)
+
+    def test_valid_triangle_loads(self):
+        graph = from_json_dict(
+            _triangle_document([(1, 2, "transit"), (2, 0, "transit")])
+        )
+        assert graph.is_in_customer_tree(ancestor=0, descendant=1)
+
+    def test_as_rel_tree_peering_rejected(self, tmp_path):
+        path = tmp_path / "bad.as-rel"
+        path.write_text("0|1|0\n2|1|-1\n0|2|-1\n", encoding="utf-8")
+        with pytest.raises(TopologyError, match="peering link 0--1"):
+            load_as_rel(path)
 
 
 class TestRoundTripProperties:
