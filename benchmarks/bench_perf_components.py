@@ -6,15 +6,24 @@ regressions in the hot paths show up in
 ``pytest benchmarks/ --benchmark-only``.
 """
 
+import gc
 import json
 import os
 import random
 import sys
 import time
+from unittest import mock
 
+import repro.bgp.route as route_module
 from repro.bgp.config import BGPConfig, DampingConfig, MRAIMode
 from repro.bgp.node import BGPNode
-from repro.bgp.route import Route, best_route, clear_intern_caches, import_route
+from repro.bgp.route import (
+    Route,
+    best_route,
+    clear_intern_caches,
+    import_route,
+    stable_hash,
+)
 from repro.core.cevent import run_c_event_experiment
 from repro.core.prefix_churn import build_allocation, run_prefix_churn
 from repro.core.reference import steady_state_routes
@@ -164,6 +173,11 @@ def test_sim_core_telemetry(benchmark, results_dir):
     wall-clock/event breakdown.  Both throughputs and the phase table
     are recorded in ``BENCH_sim_core.json`` so the CI perf-smoke job can
     archive them.
+
+    The two paths run in alternating rounds, each after a full garbage
+    collection, and the best round of each is compared: a collection of
+    the objects earlier tests left behind then cannot land in one side's
+    only sample.  The benchmark fixture times the whole comparison.
     """
     graph = generate_topology(baseline_params(400), seed=5)
     rounds = 3
@@ -177,22 +191,24 @@ def test_sim_core_telemetry(benchmark, results_dir):
             run_c_event_experiment(graph, FAST, num_origins=1, seed=5)
         return hub
 
-    run_disabled()  # warm caches so both timed paths start equal
-    started = time.perf_counter()
-    for _ in range(rounds):
-        run_disabled()
-    disabled_seconds = (time.perf_counter() - started) / rounds
-
-    timings = []
-
-    def timed_enabled():
+    def timed(fn):
+        gc.collect()
         t0 = time.perf_counter()
-        hub = run_enabled()
-        timings.append(time.perf_counter() - t0)
-        return hub
+        result = fn()
+        return time.perf_counter() - t0, result
 
-    hub = benchmark.pedantic(timed_enabled, rounds=rounds, iterations=1)
-    enabled_seconds = sum(timings) / len(timings)
+    def compare():
+        run_disabled()  # warm caches so both timed paths start equal
+        disabled, enabled = [], []
+        for _ in range(rounds):
+            disabled.append(timed(run_disabled)[0])
+            seconds, hub = timed(run_enabled)
+            enabled.append(seconds)
+        return min(disabled), min(enabled), hub
+
+    disabled_seconds, enabled_seconds, hub = benchmark.pedantic(
+        compare, rounds=1, iterations=1
+    )
 
     snapshot = hub.snapshot()
     overhead_pct = (
@@ -341,24 +357,38 @@ def test_sim_core_budget(results_dir):
         link_delay=0.001,
         processing_time_max=0.01,
     )
+    # Also counts the tie-break hashes the decision process computes:
+    # ``Route.preference_key`` is the only caller of the route module's
+    # own ``stable_hash`` binding, and comparisons reach it only when
+    # local preference and path length tie.  Fresh intern tables make
+    # the count independent of what ran earlier in the process.
     churn_graph = generate_topology(baseline_params(150), seed=6)
-    churn_net = SimNetwork(churn_graph, churn_cfg, seed=6)
-    stubs = [n for n in churn_graph.node_ids if not churn_graph.customers_of(n)]
-    origins = stubs[:4]
-    for prefix, node_id in enumerate(origins):
-        churn_net.originate(node_id, prefix)
-    churn_net.run_to_convergence()
-    for _ in range(2):
-        for prefix, node_id in enumerate(origins):
-            churn_net.withdraw(node_id, prefix)
-        churn_net.run_to_convergence()
+    clear_intern_caches()
+    tie_break_hashes = [0]
+
+    def counted_hash(*values):
+        tie_break_hashes[0] += 1
+        return stable_hash(*values)
+
+    with mock.patch.object(route_module, "stable_hash", counted_hash):
+        churn_net = SimNetwork(churn_graph, churn_cfg, seed=6)
+        stubs = [n for n in churn_graph.node_ids if not churn_graph.customers_of(n)]
+        origins = stubs[:4]
         for prefix, node_id in enumerate(origins):
             churn_net.originate(node_id, prefix)
         churn_net.run_to_convergence()
+        for _ in range(2):
+            for prefix, node_id in enumerate(origins):
+                churn_net.withdraw(node_id, prefix)
+            churn_net.run_to_convergence()
+            for prefix, node_id in enumerate(origins):
+                churn_net.originate(node_id, prefix)
+            churn_net.run_to_convergence()
     churn = {
         "executed_events": churn_net.engine.executed_events,
         "delivered_messages": churn_net.delivered_messages,
         "cancelled_events": churn_net.engine.cancelled_events,
+        "tie_break_hashes": tie_break_hashes[0],
     }
 
     # --- damping reuse-check dedupe (deterministic counters) ----------

@@ -8,7 +8,8 @@ benchmark records (see ``benchmarks/bench_perf_components.py``):
   of fixed-seed scenarios) must match the baseline *exactly* — they are
   machine-independent, so any drift is a real behavior change (e.g. the
   stale-wakeup fix regressing and no-op events sneaking back into the
-  heap).
+  heap, or the decision process hashing AS paths it does not need to
+  compare).
 * **Timing metrics** (per-op µs, events/s) are compared within a
   tolerance band (default 3.0x, ``--tolerance``): CI runners are noisy
   and slower than dev machines, but an order-of-magnitude regression —
@@ -39,6 +40,7 @@ EXACT_COUNTERS = [
     ("churn_per_prefix", "executed_events"),
     ("churn_per_prefix", "delivered_messages"),
     ("churn_per_prefix", "cancelled_events"),
+    ("churn_per_prefix", "tie_break_hashes"),
     ("damping_churn", "executed_events"),
     ("damping_churn", "cancelled_events"),
     ("prefix_churn", "events_executed"),

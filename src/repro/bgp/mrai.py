@@ -130,17 +130,17 @@ class OutputChannel:
         the absolute time at which :meth:`wakeup` must be called to flush a
         queued update (None when nothing is queued by this call).
         """
-        if prefix in self._pending:
-            if self._pending[prefix] == target:
+        pending = self._pending
+        if pending and prefix in pending:
+            if pending[prefix] == target:
                 return [], None
             # Output-queue invalidation: the newer update replaces the old.
-            del self._pending[prefix]
+            del pending[prefix]
             self._obs.on_mrai_invalidation()
         if self._sent.get(prefix) == target:
-            # Converged back to what the neighbour already knows.
-            return [], None
-        if target is None and self._sent.get(prefix) is None:
-            # Withdrawal for a prefix the neighbour never had: suppress.
+            # Converged back to what the neighbour already knows; this
+            # also suppresses a withdrawal for a never-advertised prefix
+            # (absent and None both read as None).
             return [], None
 
         is_withdrawal = target is None

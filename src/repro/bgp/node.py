@@ -22,7 +22,7 @@ from typing import Callable, Deque, Dict, Optional
 
 from repro.bgp.config import BGPConfig
 from repro.bgp.damping import FlapKind, RouteFlapDamper
-from repro.bgp.decision import select_best
+from repro.bgp.decision import prefers, select_best
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.mrai import OutputChannel
 from repro.bgp.policy import exportable
@@ -297,7 +297,8 @@ class BGPNode:
         tie semantics: the loop invariant of ``select_best`` guarantees
         every candidate ordered before the installed best has a strictly
         greater key and every one after has a greater-or-equal key, which
-        is what the ``<=`` / ``<`` splits below encode.
+        is what the ``<=`` / ``<`` splits below encode (``<=`` as "the
+        old best is not preferred", ``<`` as "the new route is").
         """
         self._obs.on_decision()
         self.decisions_run += 1
@@ -311,15 +312,11 @@ class BGPNode:
                 # The replaced entry was the best; it keeps its position
                 # in candidate order, so the new route wins iff it is no
                 # worse than the old best (everything later has a >= key).
-                if route.preference_key(self.node_id) <= current.preference_key(
-                    self.node_id
-                ):
+                if not prefers(current, route, self.node_id):
                     best = route
                 else:
                     best = select_best(self.node_id, self._candidates(prefix, now))
-            elif route.preference_key(self.node_id) < current.preference_key(
-                self.node_id
-            ):
+            elif prefers(route, current, self.node_id):
                 best = route
             else:
                 best = current
@@ -336,14 +333,16 @@ class BGPNode:
             self._export(prefix, best, now)
 
     def _export(self, prefix: int, best: Optional[Route], now: float) -> None:
+        channels = self._channels
+        down = self._down_neighbors
         for neighbor, relationship in self.neighbors.items():
-            if neighbor in self._down_neighbors:
+            if down and neighbor in down:
                 continue
             if best is not None and exportable(best, neighbor, relationship):
                 target = best.path
             else:
                 target = None
-            messages, wakeup = self._channels[neighbor].set_target(prefix, target, now)
+            messages, wakeup = channels[neighbor].set_target(prefix, target, now)
             for message in messages:
                 self._transmit(message, now)
             if wakeup is not None:

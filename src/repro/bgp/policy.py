@@ -23,6 +23,9 @@ from repro.topology.types import LOCAL_PREFERENCE, Relationship
 #: Reverse map local-pref value -> the relationship class it encodes.
 _PREF_TO_RELATIONSHIP = {pref: rel for rel, pref in LOCAL_PREFERENCE.items()}
 
+_CUSTOMER = Relationship.CUSTOMER
+_CUSTOMER_PREF = LOCAL_PREFERENCE[_CUSTOMER]
+
 
 def learned_relationship(route: Route) -> Relationship | None:
     """The relationship class the route was learned over (None if local)."""
@@ -48,7 +51,19 @@ def export_allowed(route: Route, to_relationship: Relationship) -> bool:
 
 
 def exportable(route: Route, neighbor_id: int, to_relationship: Relationship) -> bool:
-    """Full export decision: no-valley filter plus AS-path loop avoidance."""
-    if route.contains(neighbor_id):
+    """Full export decision: AS-path loop avoidance plus the no-valley filter.
+
+    Runs once per neighbour on every best-route change, so it is written
+    as one body rather than as calls to :meth:`Route.contains` and
+    :func:`export_allowed`; it decides exactly as their conjunction.
+    """
+    path = route.path
+    if neighbor_id in path:
         return False
-    return export_allowed(route, to_relationship)
+    # Local routes (empty path) and customer-learned routes go to every
+    # neighbour; peer- and provider-learned routes to customers only.
+    return (
+        not path
+        or to_relationship is _CUSTOMER
+        or route.local_pref == _CUSTOMER_PREF
+    )

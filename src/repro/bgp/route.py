@@ -27,9 +27,11 @@ a dataclass and two layers of value sharing keep the per-route cost low:
 ``preference_key`` results are memoized per (route, receiver): the
 SplitMix64 chain over the full AS path used to re-run on *every*
 comparison inside ``best_route``/``select_best``; now it runs once per
-(route, receiver) for the lifetime of the route object.  The cache is a
-plain dict stored in a slot that is excluded from equality/hash/repr, so
-the route still behaves as a frozen value object.
+(route, receiver) for the lifetime of the route object, and the decision
+process (:func:`repro.bgp.decision.prefers`) asks for a key only when
+local preference and path length tie.  The cache is a plain dict stored
+in a slot that is excluded from equality/hash/repr, so the route still
+behaves as a frozen value object.
 
 The intern tables are process-global caches keyed purely by value —
 sharing them across concurrent simulations is safe, and clearing them
@@ -43,6 +45,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
+from repro.bgp.decision import select_best
 from repro.topology.types import LOCAL_PREFERENCE, Relationship
 
 if TYPE_CHECKING:  # pragma: no cover - the prefix package imports this
@@ -212,12 +215,8 @@ def import_route(
 
 
 def best_route(routes: "list[Route]", receiver_id: int) -> Optional[Route]:
-    """The most preferred route among ``routes`` (None if empty)."""
-    best: Optional[Route] = None
-    best_key: Optional[Tuple[int, int, int]] = None
-    for route in routes:
-        key = route.preference_key(receiver_id)
-        if best_key is None or key < best_key:
-            best = route
-            best_key = key
-    return best
+    """The most preferred route among ``routes`` (None if empty).
+
+    Argument-order alias of :func:`repro.bgp.decision.select_best`.
+    """
+    return select_best(receiver_id, routes)

@@ -99,6 +99,22 @@ class TestDelayFirstDiscipline:
         assert messages == []
         assert wakeup is None
 
+    @pytest.mark.parametrize("wrate", [False, True])
+    @pytest.mark.parametrize("mode", [MRAIMode.PER_INTERFACE, MRAIMode.PER_PREFIX])
+    def test_never_advertised_withdrawal_arms_nothing(self, wrate, mode):
+        ch = channel(wrate=wrate, mrai_mode=mode)
+        rng_state = ch._rng.getstate()
+        assert ch.set_target(0, None, now=5.0) == ([], None)
+        assert ch.pending_count == 0
+        assert ch._interface_gate == 0.0
+        assert ch._prefix_gates == {}
+        assert ch._rng.getstate() == rng_state  # no jitter drawn
+        assert 0 not in ch._sent  # still "never advertised", not withdrawn
+        # The gate stays open: a later announcement is timed from its own
+        # arrival, not from the suppressed withdrawal.
+        _, wakeup = ch.set_target(0, (9,), now=7.0)
+        assert wakeup == pytest.approx(17.0)
+
     def test_duplicate_target_suppressed(self):
         ch = channel()
         ch.set_target(0, (9,), now=0.0)

@@ -1,6 +1,8 @@
 """Tests for the Gao–Rexford export policies."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.bgp.policy import export_allowed, exportable, learned_relationship
 from repro.bgp.route import import_route, local_route
@@ -63,3 +65,18 @@ class TestLoopAvoidance:
         assert not exportable(route, 9, PEER)  # valley
         assert not exportable(route, 3, CUST)  # loop
         assert exportable(route, 9, CUST)
+
+
+class TestExportableIsTheConjunction:
+    """``exportable`` inlines the loop check and the no-valley filter."""
+
+    @given(
+        path=st.lists(st.integers(min_value=0, max_value=8), max_size=4),
+        learned=st.sampled_from([CUST, PEER, PROV]),
+        neighbor=st.integers(min_value=0, max_value=8),
+        to=st.sampled_from([CUST, PEER, PROV]),
+    )
+    def test_matches_contains_and_export_allowed(self, path, learned, neighbor, to):
+        route = import_route(0, tuple(path), learned) if path else local_route(0)
+        expected = not route.contains(neighbor) and export_allowed(route, to)
+        assert exportable(route, neighbor, to) == expected
